@@ -25,7 +25,6 @@ import time
 
 import numpy as np
 
-from repro.core.executor import shutdown_session_pools
 from repro.core.model import IFair
 from repro.core.objective import IFairObjective
 from repro.core.shards import ShardedLandmarkOracle
@@ -116,7 +115,6 @@ def bench_sharded(quick: bool = True) -> dict:
         )
         entry["m1e6_stochastic_fit_s"] = sto_s
         entry["m1e6_stochastic_loss"] = float(sto_model.loss_)
-    shutdown_session_pools()
     return entry
 
 

@@ -120,7 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="J",
-        help="worker processes for the fit's restarts (-1 = per CPU)",
+        help=(
+            "worker processes for the fit's restarts, forked for the "
+            "fit and stopped after it (-1 = per CPU)"
+        ),
     )
     fit.add_argument(
         "--tune",
@@ -358,8 +361,8 @@ def _add_tuning_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="J",
         help=(
-            "worker processes for hyper-parameter search "
-            "(default serial, -1 = one per CPU)"
+            "worker processes for hyper-parameter search, forked per "
+            "search and stopped after it (default serial, -1 = one per CPU)"
         ),
     )
     parser.add_argument(
@@ -375,17 +378,6 @@ def _add_tuning_flags(parser: argparse.ArgumentParser) -> None:
         help=(
             "halving rung promotion: observed-score rank or "
             "learning-curve extrapolation (default rank)"
-        ),
-    )
-    parser.add_argument(
-        "--pool",
-        choices=("per-call", "session"),
-        default="per-call",
-        help=(
-            "worker-pool lifetime: per-call spawns and tears down a "
-            "pool per parallel section, session reuses one process-"
-            "wide warm pool plus the shared-memory arena cache "
-            "(default per-call)"
         ),
     )
 
@@ -434,14 +426,12 @@ def _config(args) -> ExperimentConfig:
         args.tune_jobs is not None
         or args.tune_strategy != "exhaustive"
         or args.tune_promote != "rank"
-        or args.pool != "per-call"
     ):
         config = replace(
             config,
             tune_jobs=args.tune_jobs,
             tune_strategy=args.tune_strategy,
             tune_promote=args.tune_promote,
-            tune_pool=args.pool,
         )
     return config
 
@@ -487,7 +477,6 @@ def _cmd_fit_save(args) -> int:
         batch_mode=args.batch_mode,
         batch_size=args.batch_size,
         n_jobs=args.fit_jobs,
-        pool=args.pool,
         tune=args.tune,
         tune_criterion=args.tune_criterion,
         tune_jobs=args.tune_jobs,

@@ -25,12 +25,9 @@ import numpy as np
 from scipy import optimize
 
 from repro.core.executor import (
-    POOL_MODES,
     ParallelExecutor,
     effective_n_jobs,
-    get_config_token,
     get_shared,
-    get_shared_handles,
     get_state,
 )
 from repro.core.objective import PAIR_MODES, IFairObjective
@@ -44,8 +41,6 @@ from repro.utils.mathkit import softmax, weighted_minkowski_to_prototypes
 from repro.utils.rng import RandomStateLike, check_random_state, spawn_seeds
 from repro.utils.validation import check_matrix, check_protected_indices
 
-RESTART_BACKENDS = ("process", "thread")
-
 
 @dataclass
 class RestartRecord:
@@ -57,73 +52,14 @@ class RestartRecord:
     converged: bool
 
 
-# One (model, objective, bounds) triple per worker process: workers
-# serve every restart of one fit, so the deterministic objective —
-# including its landmark selection and pair precomputations — is
-# rebuilt once from the broadcast matrix, not once per task.
-_WORKER_FIT_CACHE: dict = {}
-
-# Oracle memo across *consecutive fits* on a session pool: the
-# objective (and bounds) are a pure function of (training matrix,
-# oracle parameters), so a warm worker refitting the same data — a
-# serving refit after tuning, repeated fits in a benchmark — reuses
-# the precomputed oracle instead of re-sampling pairs and re-selecting
-# landmarks.  Keyed by the broadcast segment *name*, which the arena
-# mints content-addressed and never reuses, plus every parameter the
-# objective depends on; capped to the two most recent oracles.
-_WORKER_ORACLE_CACHE: dict = {}
-_ORACLE_CACHE_SIZE = 2
-
-#: Constructor parameters the loss/gradient oracle depends on.  The
-#: optimisation knobs (n_restarts, max_iter, tol, warm_start_theta,
-#: n_jobs, backend, pool, init, protected_alpha_init) deliberately do
-#: not enter the key: they shape the search over the oracle, not the
-#: oracle itself.
-_ORACLE_PARAM_KEYS = (
-    "n_prototypes",
-    "lambda_util",
-    "mu_fair",
-    "p",
-    "max_pairs",
-    "pair_mode",
-    "n_landmarks",
-    "landmark_method",
-    "random_state",
-)
-
-
-def _oracle_cache_key(state: dict, row_range: Optional[tuple] = None) -> Optional[tuple]:
-    """Content-stable cache key for the fit oracle, or None.
-
-    Only available when the training matrix arrived as a shared-memory
-    broadcast: the segment name then identifies its bytes (names are
-    never reused within a process).  The key also carries the **row
-    range** the oracle covers — the full matrix for restart tasks
-    (derived from the segment's shape), an explicit ``(start, stop)``
-    for row-sharded evaluations — so two oracles over overlapping but
-    unequal row ranges of the same segment can never serve each other
-    stale precomputations.  Unhashable parameter values (arrays)
-    disable caching rather than mis-keying it.
-    """
-    handle = get_shared_handles().get("X")
-    if handle is None:
-        return None
-    params = state["params"]
-    values = tuple(params.get(key) for key in _ORACLE_PARAM_KEYS)
-    protected = state["protected"]
-    if row_range is None:
-        row_range = (0, int(handle.shape[0]))
-    key = (
-        handle.name,
-        (int(row_range[0]), int(row_range[1])),
-        None if protected is None else tuple(protected),
-        values,
-    )
-    try:
-        hash(key)
-    except TypeError:  # pragma: no cover - defensive
-        return None
-    return key
+# One (state, model, objective, bounds) slot per worker process: a
+# worker serves every restart of one fit, so the deterministic
+# objective — including its landmark selection and pair
+# precomputations — is rebuilt once from the broadcast matrix, not
+# once per task.  The slot holds its ``state`` and is matched by
+# identity, so a slot inherited through fork can never serve another
+# fit's tasks.
+_WORKER_FIT: Optional[tuple] = None
 
 
 def _restart_task(payload: Tuple[int, int]) -> Tuple["RestartRecord", np.ndarray]:
@@ -134,34 +70,16 @@ def _restart_task(payload: Tuple[int, int]) -> Tuple["RestartRecord", np.ndarray
     reuses the exact serial code path (:meth:`IFair._run_restart`), so
     parallel fits are bitwise-identical to sequential ones.
     """
+    global _WORKER_FIT
     index, seed = payload
     state = get_state()
-    # Keyed by the executor's process-unique config token, not
-    # ``id(state)``: a session pool serves many consecutive fits, and
-    # the allocator may hand a dead state dict's id to the next one.
-    key = get_config_token()
-    cached = _WORKER_FIT_CACHE.get(key)
-    if cached is None:
-        _WORKER_FIT_CACHE.clear()  # one fit per config; drop stale entries
+    if _WORKER_FIT is None or _WORKER_FIT[0] is not state:
         model = IFair(**state["params"])
         X = get_shared()["X"]
         model._protected = check_protected_indices(state["protected"], X.shape[1])
-        oracle_key = _oracle_cache_key(state)
-        oracle = _WORKER_ORACLE_CACHE.get(oracle_key) if oracle_key else None
-        if oracle is not None:
-            # A warm worker reusing the memoised oracle across fits —
-            # the cache-efficiency signal the session-pool design buys.
-            get_registry().counter("fit_oracle_memo_hits_total").inc()
-        if oracle is None:
-            objective = model._build_objective(X)
-            oracle = (objective, model._bounds(objective))
-            if oracle_key is not None:
-                _WORKER_ORACLE_CACHE[oracle_key] = oracle
-                while len(_WORKER_ORACLE_CACHE) > _ORACLE_CACHE_SIZE:
-                    _WORKER_ORACLE_CACHE.pop(next(iter(_WORKER_ORACLE_CACHE)))
-        cached = (model, *oracle)
-        _WORKER_FIT_CACHE[key] = cached
-    model, objective, bounds = cached
+        objective = model._build_objective(X)
+        _WORKER_FIT = (state, model, objective, model._bounds(objective))
+    _, model, objective, bounds = _WORKER_FIT
     return model._run_restart(objective, bounds, seed, index=index)
 
 
@@ -207,25 +125,13 @@ class IFair(ParamsMixin):
         deterministic under ``random_state``.
     n_jobs:
         Number of restarts optimised concurrently.  ``None`` or ``1``
-        runs them sequentially; ``-1`` uses one worker per CPU.  The
+        runs them sequentially; ``-1`` uses one worker per CPU.  More
+        than one job forks worker processes through
+        :class:`repro.core.executor.ParallelExecutor` for this fit: the
+        training matrix is broadcast zero-copy via shared memory and
+        each worker rebuilds the (deterministic) objective once.  The
         selected model is identical to the sequential result for any
         value: the best loss wins, ties broken by seed order.
-    backend:
-        How parallel restarts run: ``"process"`` (default) forks real
-        workers through :class:`repro.core.executor.ParallelExecutor`
-        — the training matrix is broadcast zero-copy via shared
-        memory and each worker rebuilds the (deterministic) objective
-        once — or ``"thread"``, the historical escape hatch for fits
-        dominated by GIL-releasing BLAS calls.
-    pool:
-        ``"per-call"`` (default) spawns a private worker pool for this
-        fit; ``"session"`` borrows the persistent broker pool
-        (:class:`repro.core.executor.PoolBroker`) and the shm arena
-        cache, so repeated fits — serving refits, tuning loops — skip
-        the pool spawn, and a matrix already broadcast (e.g. by the
-        grid search that chose these hyper-parameters) is reused
-        rather than re-published.  The fitted model is bitwise
-        identical either way.
     warm_start_theta:
         Optional packed parameter vector ``[V.ravel(), alpha]`` used
         as the first restart's initial point instead of its seeded
@@ -290,8 +196,6 @@ class IFair(ParamsMixin):
         n_landmarks: Optional[int] = None,
         landmark_method: str = "kmeans++",
         n_jobs: Optional[int] = None,
-        backend: str = "process",
-        pool: str = "per-call",
         warm_start_theta: Optional[np.ndarray] = None,
         oracle_jobs: Optional[int] = None,
         oracle_shards: Optional[int] = None,
@@ -315,14 +219,6 @@ class IFair(ParamsMixin):
             raise ValidationError("n_landmarks must be at least 1")
         if n_jobs is not None and (n_jobs == 0 or n_jobs < -1):
             raise ValidationError("n_jobs must be None, -1, or a positive integer")
-        if backend not in RESTART_BACKENDS:
-            raise ValidationError(
-                f"backend must be one of {RESTART_BACKENDS}, got {backend!r}"
-            )
-        if pool not in POOL_MODES:
-            raise ValidationError(
-                f"pool must be one of {POOL_MODES}, got {pool!r}"
-            )
         if batch_mode not in SHARD_BATCH_MODES:
             raise ValidationError(
                 f"batch_mode must be one of {SHARD_BATCH_MODES}, got {batch_mode!r}"
@@ -371,8 +267,6 @@ class IFair(ParamsMixin):
         self.n_landmarks = n_landmarks
         self.landmark_method = landmark_method
         self.n_jobs = n_jobs
-        self.backend = backend
-        self.pool = pool
         self.warm_start_theta = (
             None
             if warm_start_theta is None
@@ -410,15 +304,14 @@ class IFair(ParamsMixin):
         X = check_matrix(X, "X", min_rows=2)
         self._protected = check_protected_indices(protected_indices, X.shape[1])
         workers = self._n_workers()
-        use_process = workers > 1 and self.backend == "process"
         get_registry().counter("fit_total").inc()
         with get_tracer().span(
             "fit",
             n_records=int(X.shape[0]),
             n_restarts=self.n_restarts,
-            backend=self.backend if workers > 1 else "serial",
+            n_jobs=workers,
         ):
-            return self._fit_inner(X, workers, use_process)
+            return self._fit_inner(X, workers)
 
     def _uses_sharded_oracle(self) -> bool:
         """Whether this fit evaluates the oracle through row shards."""
@@ -428,19 +321,17 @@ class IFair(ParamsMixin):
             or self.batch_mode != "full"
         )
 
-    def _fit_inner(
-        self, X: np.ndarray, workers: int, use_process: bool
-    ) -> "IFair":
+    def _fit_inner(self, X: np.ndarray, workers: int) -> "IFair":
         sharded = self._uses_sharded_oracle()
         # The process path never evaluates the oracle parent-side:
         # construct it deferred (validation and shape bookkeeping only)
-        # and let the workers build — or reuse from their cache — the
-        # expensive support structures.  Serial and thread paths
-        # optimise this very object, so they precompute as always.
-        # The sharded path also defers: the oracle coordinator builds
-        # its own (shard-shaped) support, never the objective's.
+        # and let the workers build the expensive support structures.
+        # The serial path optimises this very object, so it
+        # precomputes as always.  The sharded path also defers: the
+        # oracle coordinator builds its own (shard-shaped) support,
+        # never the objective's.
         objective = self._build_objective(
-            X, precompute=not (use_process or sharded)
+            X, precompute=not (workers > 1 or sharded)
         )
         self.landmarks_ = objective.landmark_indices
         seeds = spawn_seeds(self.random_state, self.n_restarts)
@@ -454,18 +345,8 @@ class IFair(ParamsMixin):
             )
         if sharded:
             outcomes = self._restarts_sharded(objective, bounds, seeds)
-        elif use_process:
-            outcomes = self._restarts_process(objective.X, seeds, workers)
         elif workers > 1:
-            # Thread escape hatch: the objective's workspace buffers
-            # are thread-local, so one shared oracle is safe; only
-            # worthwhile when BLAS (which releases the GIL) dominates.
-            with ParallelExecutor(
-                lambda task: self._run_restart(objective, bounds, task[1], index=task[0]),
-                workers,
-                backend="thread",
-            ) as pool:
-                outcomes = pool.map(list(enumerate(seeds)))
+            outcomes = self._restarts_process(objective.X, seeds, workers)
         else:
             outcomes = [
                 self._run_restart(objective, bounds, seed, index=index)
@@ -542,7 +423,6 @@ class IFair(ParamsMixin):
             objective,
             n_shards=self.oracle_shards,
             n_jobs=self.oracle_jobs,
-            pool=self.pool,
             batch_mode=self.batch_mode,
             batch_size=self.batch_size,
             random_state=self.random_state,
@@ -577,9 +457,8 @@ class IFair(ParamsMixin):
             workers,
             state=state,
             shared={"X": X},
-            pool=self.pool,
-        ) as pool:
-            return pool.map(list(enumerate(seeds)))
+        ) as executor:
+            return executor.map(list(enumerate(seeds)))
 
     # get_params/set_params come from ParamsMixin: constructor-argument
     # introspection yields exactly the historical explicit dict (every

@@ -51,15 +51,13 @@ arithmetic; rtol 1e-8 in float), and a batch that covers every row is
 detected and routed through the literal full sharded path, so
 ``batch_size=M`` is bitwise-equal to ``batch_mode="full"``.
 
-Worker-side support memo
-------------------------
-Workers memoise the expensive per-segment support (the non-protected
-column copy, anchor rows, row squared norms) keyed on ``(segment
-name, protected columns, anchor set, p, kernel path)`` and, inside
-that, the fixed fairness target ``D*`` **per row range** — so two
-consecutive fits over the same broadcast with different shard plans
-can never serve each other stale rows (the stale-memo hazard the
-regression tests in ``tests/stress/test_shard_faults.py`` cover).
+Worker-side support
+-------------------
+Each shard worker builds the expensive support (the non-protected
+column copy, anchor rows, row squared norms) once, on its first
+shard, and keeps the fixed fairness target ``D*`` **per row range**
+for the rest of the fit.  The workers live exactly as long as the
+oracle, so nothing built for one fit can reach another.
 
 Fault injection
 ---------------
@@ -79,11 +77,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.executor import (
-    POOL_MODES,
     ParallelExecutor,
     effective_n_jobs,
     get_shared,
-    get_shared_handles,
     get_state,
     in_worker,
 )
@@ -104,13 +100,13 @@ SHARD_BATCH_MODES = ("full", "stochastic")
 #: Environment hook of the fault-injection tests (see module docstring).
 FAULT_ENV = "REPRO_SHARD_FAULT"
 
-# Worker-side support memo: one entry per (segment, oracle params) —
-# see module docstring.  Capped like the model-level oracle memo.
-_SUPPORT_CACHE: dict = {}
-_SUPPORT_CACHE_SIZE = 2
+# Worker-side support: one (state, support) slot per worker process,
+# matched by ``state`` identity so a slot inherited through fork can
+# never serve another oracle's shards.
+_WORKER_SUPPORT: Optional[tuple] = None
 
-#: Cached D* row ranges per support entry; bounds memory when many
-#: different shard plans hit the same broadcast.
+#: Cached D* row ranges per support; bounds memory for plans with
+#: many shards.
 _D_STAR_RANGE_CACHE_SIZE = 64
 
 
@@ -164,11 +160,10 @@ def _check_plan(plan: Sequence[Tuple[int, int]], n_rows: int) -> Tuple[Tuple[int
 class _ShardSupport:
     """Theta-independent per-matrix support shared by every shard call.
 
-    Built once per (broadcast segment, oracle params) worker-side — or
-    once per oracle parent-side — and reused across all L-BFGS
-    evaluations: the non-protected column copy, the anchor raw rows,
-    the per-row squared norms of the fairness target space, and a
-    bounded cache of ``D*`` row ranges.
+    Built once per worker — or once per oracle parent-side — and
+    reused across all L-BFGS evaluations: the non-protected column
+    copy, the anchor raw rows, the per-row squared norms of the
+    fairness target space, and a bounded cache of ``D*`` row ranges.
     """
 
     def __init__(
@@ -342,44 +337,17 @@ def _eval_shard(
     return (l_util, e_sq, grad_V, grad_alpha, col_sum, EtX)
 
 
-def _support_cache_key(state: dict) -> Optional[tuple]:
-    """Row-range-aware memo key for the worker-side shard support.
-
-    Keyed by the broadcast segment *name* (content-addressed, never
-    reused) plus every oracle parameter the support depends on; the
-    row-range dimension lives inside :class:`_ShardSupport`'s own
-    ``D*`` cache, keyed per ``(start, stop)``, so overlapping but
-    unequal ranges from different shard plans can never alias.
-    """
-    handle = get_shared_handles().get("X")
-    if handle is None:
-        return None
-    return (
-        handle.name,
-        tuple(state["nonprotected"]),
-        tuple(state["anchors"]),
-        state["p"],
-        state["use_fast"],
-    )
-
-
 def _worker_support(state: dict) -> _ShardSupport:
-    key = _support_cache_key(state)
-    support = _SUPPORT_CACHE.get(key) if key is not None else None
-    if support is not None:
-        get_registry().counter("fit_shard_support_memo_hits_total").inc()
-        return support
-    support = _ShardSupport(
-        get_shared()["X"],
-        np.asarray(state["nonprotected"], dtype=np.int64),
-        np.asarray(state["anchors"], dtype=np.int64),
-        use_fast=state["use_fast"],
-    )
-    if key is not None:
-        _SUPPORT_CACHE[key] = support
-        while len(_SUPPORT_CACHE) > _SUPPORT_CACHE_SIZE:
-            _SUPPORT_CACHE.pop(next(iter(_SUPPORT_CACHE)))
-    return support
+    global _WORKER_SUPPORT
+    if _WORKER_SUPPORT is None or _WORKER_SUPPORT[0] is not state:
+        support = _ShardSupport(
+            get_shared()["X"],
+            np.asarray(state["nonprotected"], dtype=np.int64),
+            np.asarray(state["anchors"], dtype=np.int64),
+            use_fast=state["use_fast"],
+        )
+        _WORKER_SUPPORT = (state, support)
+    return _WORKER_SUPPORT[1]
 
 
 def _maybe_inject_fault(shard_id: int) -> None:
@@ -443,8 +411,6 @@ class ShardedLandmarkOracle:
     n_jobs:
         Workers evaluating shards (``None``/1 in-process, ``-1``
         per CPU).  Collapses to in-process inside an executor worker.
-    pool:
-        Executor pool mode (``"per-call"`` or ``"session"``).
     batch_mode, batch_size:
         ``"full"`` evaluates every row; ``"stochastic"`` draws
         ``batch_size`` rows per call (see module docstring).
@@ -462,7 +428,6 @@ class ShardedLandmarkOracle:
         *,
         n_shards: Optional[int] = None,
         n_jobs: Optional[int] = None,
-        pool: str = "per-call",
         batch_mode: str = "full",
         batch_size: Optional[int] = None,
         plan: Optional[Sequence[Tuple[int, int]]] = None,
@@ -477,8 +442,6 @@ class ShardedLandmarkOracle:
             raise ValidationError(
                 f"batch_mode must be one of {SHARD_BATCH_MODES}, got {batch_mode!r}"
             )
-        if pool not in POOL_MODES:
-            raise ValidationError(f"pool must be one of {POOL_MODES}, got {pool!r}")
         self._objective = objective
         self._m = int(objective.X.shape[0])
         self.n_jobs = effective_n_jobs(n_jobs)
@@ -501,7 +464,6 @@ class ShardedLandmarkOracle:
         elif batch_size is not None:
             raise ValidationError("batch_size only applies to batch_mode='stochastic'")
         self.batch_size = batch_size
-        self.pool = pool
         self.max_retries = int(max_retries)
 
         anchors = objective._anchor_indices()
@@ -593,7 +555,6 @@ class ShardedLandmarkOracle:
             state=state,
             shared={"X": self._objective.X},
             max_retries=self.max_retries,
-            pool=self.pool,
         )
         self._executor.start()
 

@@ -28,20 +28,13 @@ the protocol fast at scale:
   exhaustive search picks whenever its winner survives the early
   rungs (pinned on seeded data by the property suite).
 
-Two further knobs refine those:
-
-* ``pool="session"`` borrows the persistent broker worker pool
-  (:class:`repro.core.executor.PoolBroker`) instead of spawning a
-  fresh one, and routes the ``shared`` broadcast through the shm
-  arena cache — back-to-back searches and refits skip the spawn and
-  re-broadcast cost, with bitwise-identical results.
-* ``HalvingConfig(promote="extrapolate")`` replaces rank-based rung
-  promotion with a learning-curve extrapolation: each candidate's
-  scores over the rung budgets are fit with a saturating curve and
-  the rung promotes on the *predicted full-budget* score, so a slow
-  starter with the higher asymptote survives rungs that pure ranking
-  would eliminate it from.  The Pareto-front protection of the rank
-  promoter is kept.
+``HalvingConfig(promote="extrapolate")`` refines halving: rank-based
+rung promotion is replaced with a learning-curve extrapolation — each
+candidate's scores over the rung budgets are fit with a saturating
+curve and the rung promotes on the *predicted full-budget* score, so a
+slow starter with the higher asymptote survives rungs that pure
+ranking would eliminate it from.  The Pareto-front protection of the
+rank promoter is kept.
 """
 
 from __future__ import annotations
@@ -54,12 +47,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.executor import (
-    POOL_MODES,
-    ParallelExecutor,
-    effective_n_jobs,
-    get_state,
-)
+from repro.core.executor import ParallelExecutor, effective_n_jobs, get_state
 from repro.core.pareto import pareto_front
 from repro.exceptions import ValidationError
 from repro.telemetry.metrics import get_registry
@@ -317,7 +305,7 @@ def _default_theta_of(artifact: object) -> Optional[np.ndarray]:
 def _grid_task(payload: Dict) -> Dict:
     """Worker body: build one candidate, evaluate it, strip it down.
 
-    Runs under any executor backend; the build/evaluate callables ride
+    Runs in-process or in a worker; the build/evaluate callables ride
     in the executor ``state`` (inherited memory under fork, pickled
     under spawn).  The artifact itself is only shipped back when the
     caller asked to keep it — for large grids the fitted model stays
@@ -358,9 +346,6 @@ class GridSearch:
         Candidate fits run on this many worker processes (``None``/1
         serial, ``-1`` per CPU).  The selected candidate, scores and
         fitted parameters are identical for any value.
-    backend:
-        ``"process"`` (default), ``"thread"``, or ``"serial"`` — see
-        :mod:`repro.core.executor`.
     strategy:
         ``"exhaustive"`` (every grid point at full budget) or
         ``"halving"`` (successive halving, 3-4x fewer fit-iterations
@@ -382,12 +367,6 @@ class GridSearch:
         Mapping of name -> ndarray broadcast zero-copy to worker
         processes; builds read it via
         :func:`repro.core.executor.get_shared`.
-    pool:
-        ``"per-call"`` (default) spawns a private worker pool for this
-        search; ``"session"`` borrows the persistent broker pool and
-        the shm arena cache, so consecutive searches (and the refit
-        that follows) skip the spawn and re-broadcast cost.  Selected
-        candidates, scores and thetas are identical either way.
     """
 
     def __init__(
@@ -397,22 +376,16 @@ class GridSearch:
         grid: Optional[Iterable[Dict]] = None,
         *,
         n_jobs: Optional[int] = None,
-        backend: str = "process",
         strategy: str = "exhaustive",
         halving: Optional[HalvingConfig] = None,
         keep_artifacts: bool = True,
         summarize: Optional[Callable[[object], Dict]] = None,
         theta_of: Optional[Callable[[object], Optional[np.ndarray]]] = _default_theta_of,
         shared: Optional[Dict[str, np.ndarray]] = None,
-        pool: str = "per-call",
     ):
         if strategy not in TUNING_STRATEGIES:
             raise ValidationError(
                 f"strategy must be one of {TUNING_STRATEGIES}, got {strategy!r}"
-            )
-        if pool not in POOL_MODES:
-            raise ValidationError(
-                f"pool must be one of {POOL_MODES}, got {pool!r}"
             )
         self.build = build
         self.evaluate = evaluate
@@ -420,14 +393,12 @@ class GridSearch:
         if not self.grid:
             raise ValidationError("hyper-parameter grid must not be empty")
         self.n_jobs = n_jobs
-        self.backend = backend
         self.strategy = strategy
         self.halving = halving or HalvingConfig()
         self.keep_artifacts = bool(keep_artifacts)
         self.summarize = summarize
         self.theta_of = theta_of
         self.shared = shared
-        self.pool = pool
 
     # ------------------------------------------------------------------
 
@@ -447,10 +418,8 @@ class GridSearch:
             _grid_task,
             # A pool wider than the grid would spawn idle workers.
             effective_n_jobs(self.n_jobs, limit=len(self.grid)),
-            backend=self.backend,
             state=state,
             shared=self.shared,
-            pool=self.pool,
         ) as executor:
             if (
                 self.strategy == "halving"
@@ -475,7 +444,7 @@ class GridSearch:
         the rebuild runs inside a one-shot serial executor carrying
         the same state and shared arrays the search workers saw — a
         bare ``self.build(params)`` call would find an empty context
-        (and, for the process backend, unlinked segments).
+        (and, after a pooled search, unlinked segments).
         """
         state = {
             "build": self.build,
@@ -488,7 +457,6 @@ class GridSearch:
             None,
             state=state,
             shared=self.shared,
-            pool=self.pool,
         ) as executor:
             return executor.map([dict(params)])[0]
 

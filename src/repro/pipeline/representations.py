@@ -226,7 +226,6 @@ class IFairMethod(RepresentationMethod):
             batch_mode=str(self.params.get("batch_mode", "full")),
             batch_size=self.params.get("batch_size"),
             n_jobs=self.params.get("n_jobs"),
-            backend=str(self.params.get("backend", "process")),
             warm_start_theta=self.params.get("warm_start_theta"),
             random_state=context.random_state,
         )

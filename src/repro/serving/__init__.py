@@ -8,8 +8,9 @@ caching, chunked evaluation), and exposed either in process
 (:class:`~repro.serving.client.InProcessClient`) or over a stdlib JSON
 HTTP API (:class:`~repro.serving.service.DecisionService`).  For
 multi-core boxes, :class:`~repro.serving.dispatcher.EngineDispatcher`
-fans the same API out to N forked engine workers that share the model
-read-only through the shm arena (``serve_artifact(..., workers=N)``).
+fans the same API out to N forked engine workers that map one
+shared-memory copy of the model read-only
+(``serve_artifact(..., workers=N)``).
 
 The dispatcher tier is deadline-aware and self-healing: per-request
 deadlines with hung-worker kills and reroute retries, an admission

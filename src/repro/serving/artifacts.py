@@ -128,8 +128,8 @@ def artifact_payload(artifact: ServingArtifact) -> "tuple[Dict, Dict[str, np.nda
     ``arrays_sha256`` digest, which is a property of the serialized npz
     payload and is stamped by :func:`save_artifact`); the arrays dict is
     the float payload half.  ``save_artifact`` writes both to disk, and
-    the serving dispatcher publishes the arrays through the shared-memory
-    arena so N worker processes rebuild the same artifact without ever
+    the serving dispatcher publishes the arrays once through shared
+    memory so N worker processes rebuild the same artifact without ever
     pickling the model — :func:`assemble_artifact` is the inverse.
     """
     arrays: Dict[str, np.ndarray] = {

@@ -11,10 +11,10 @@ the same ingredients the fit-time executor uses
   micro-batcher, representation cache, metrics registry, and fairness
   monitor), connected to the parent by one duplex pipe each;
 * **shared-memory model broadcast** — the artifact's float arrays are
-  published once through the content-addressed
-  :class:`~repro.utils.shm.ShmArena` and workers attach read-only
-  views, so the model is never pickled per worker and N workers map
-  the same physical pages;
+  published once through a dispatcher-owned
+  :class:`~repro.utils.shm.SharedArrays` generation and workers attach
+  read-only views, so the model is never pickled per worker and N
+  workers map the same physical pages;
 * **telemetry deltas** — each response ships the worker's registry
   delta and trace spans back on the pipe (the PR 6 snapshot-delta
   pattern); the parent folds them into one registry under a
@@ -56,11 +56,13 @@ workers crash, hang, or corrupt their pipe:
 
 Blue/green model swap: :meth:`EngineDispatcher.reload` loads a new
 artifact directory (checksum-verified by the manifest reader),
-publishes its arrays to the arena, then flips workers **one at a
-time** under each worker's request lock — capacity never drops to
-zero, and holding the lock means the worker's in-flight request on the
-old version completes before it flips.  The old arena lease is
-released only after every worker acknowledged the new version.  Dead
+publishes its arrays as a new shared-memory generation, then flips
+workers **one at a time** under each worker's request lock — capacity
+never drops to zero, and holding the lock means the worker's in-flight
+request on the old version completes before it flips.  The old
+generation is unlinked only after every worker acknowledged the new
+version (workers that still map it keep their pages until they drop
+them); :meth:`EngineDispatcher.stop` unlinks the current one.  Dead
 slots are skipped: the probe respawns them from the post-reload spec.
 """
 
@@ -98,6 +100,7 @@ from repro.telemetry.metrics import (
     sum_counter,
 )
 from repro.telemetry.tracing import get_tracer
+from repro.utils.shm import SharedArrays, attach
 
 _DISPATCH_LOG = get_logger("serving.dispatcher")
 
@@ -151,9 +154,9 @@ class AdmissionError(DispatchError):
 class _ArtifactSpec:
     """Picklable recipe a worker rebuilds its engine from.
 
-    ``handles`` point at arena segments (the heavy float payload);
-    ``inline`` carries the zero-size arrays the arena refuses to map
-    (e.g. ``protected_indices`` of an all-numeric pipeline).  The
+    ``handles`` point at shared-memory segments (the heavy float
+    payload); ``inline`` carries the zero-size arrays a segment cannot
+    hold (e.g. ``protected_indices`` of an all-numeric pipeline).  The
     manifest is the JSON half of :func:`artifact_payload`.
     """
 
@@ -164,8 +167,6 @@ class _ArtifactSpec:
 
 
 def _spec_arrays(spec: _ArtifactSpec, attachments: List) -> Dict[str, np.ndarray]:
-    from repro.utils.shm import attach
-
     arrays: Dict[str, np.ndarray] = dict(spec.inline)
     if spec.handles:
         attached = attach(spec.handles)
@@ -192,21 +193,28 @@ def _build_engine(
 
 
 def _answer(engine: InferenceEngine, path: str, raw: bytes) -> Tuple[int, bytes]:
-    """One POST request, JSON in / JSON out, entirely in this worker."""
-    from repro.serving.service import RequestError, dispatch
+    """One POST request, JSON in / JSON out, entirely in this worker.
+
+    Encodes exactly as the in-process tier does (:func:`reply_bytes`,
+    :func:`error_payload`), so both tiers answer byte-identically.
+    """
+    from repro.serving.service import (
+        RequestError,
+        dispatch,
+        error_payload,
+        reply_bytes,
+    )
 
     try:
         payload = json.loads(raw.decode("utf-8")) if raw else {}
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        return 400, json.dumps(
-            {"error": f"request body is not valid JSON: {exc}"}
-        ).encode("utf-8")
+        return reply_bytes(
+            400, {"error": f"request body is not valid JSON: {exc}"}
+        )
     try:
-        body = dispatch(engine, "POST", path, payload)
-        status = 200
+        return reply_bytes(200, dispatch(engine, "POST", path, payload))
     except RequestError as exc:
-        body, status = {"error": str(exc)}, exc.status
-    return status, json.dumps(body).encode("utf-8")
+        return reply_bytes(*error_payload(exc))
 
 
 def _serving_worker_main(
@@ -449,8 +457,7 @@ class EngineDispatcher:
         self._closing = threading.Event()
         self._probe_thread: Optional[threading.Thread] = None
         self._generations: Dict[int, int] = {}
-        self._lease = None
-        self._spec, self._lease = self._make_spec(artifact)
+        self._spec, self._shm = self._make_spec(artifact)
         self._requests = self.registry.counter("serving_dispatch_requests_total")
         self._respawns = self.registry.counter("serving_worker_respawns_total")
         self._reloads = self.registry.counter("serving_reloads_total")
@@ -484,20 +491,20 @@ class EngineDispatcher:
     # ------------------------------------------------------------------
     # worker lifecycle
 
-    def _make_spec(self, artifact: ServingArtifact):
-        from repro.utils.shm import arena
-
+    @staticmethod
+    def _make_spec(artifact: ServingArtifact):
+        """Publish ``artifact``'s arrays; returns (spec, its segments)."""
         manifest, arrays = artifact_payload(artifact)
         shm_arrays = {k: v for k, v in arrays.items() if v.size}
         inline = {k: np.asarray(v) for k, v in arrays.items() if not v.size}
-        lease = arena().publish(shm_arrays) if shm_arrays else None
+        shm = SharedArrays(shm_arrays) if shm_arrays else None
         spec = _ArtifactSpec(
             manifest=manifest,
-            handles=dict(lease.handles) if lease is not None else {},
+            handles=shm.handles if shm is not None else {},
             inline=inline,
             checksum=artifact.checksum,
         )
-        return spec, lease
+        return spec, shm
 
     def _spawn(self, index: int, spec: Optional[_ArtifactSpec] = None) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
@@ -942,15 +949,16 @@ class EngineDispatcher:
     def reload(self, artifact_path: str) -> Dict:
         """Swap every worker onto the artifact at ``artifact_path``.
 
-        Loads + checksum-verifies the artifact, publishes its arrays to
-        the arena, then flips workers one at a time — each flip waits
-        for that worker's in-flight request under its lock, and the
-        other workers keep answering on whichever version they hold, so
-        capacity never reaches zero.  Dead slots are skipped: the probe
-        (which shares ``_admin_lock`` with this method) respawns them
-        from the post-reload spec.  On any failure the flipped workers
-        are rolled back and the new lease released.  The old lease is
-        released only after all workers acknowledged.
+        Loads + checksum-verifies the artifact, publishes its arrays as
+        a new shared-memory generation, then flips workers one at a
+        time — each flip waits for that worker's in-flight request
+        under its lock, and the other workers keep answering on
+        whichever version they hold, so capacity never reaches zero.
+        Dead slots are skipped: the probe (which shares ``_admin_lock``
+        with this method) respawns them from the post-reload spec.  On
+        any failure the flipped workers are rolled back and the new
+        generation unlinked.  The old generation is unlinked only after
+        every live worker acknowledged the new one.
         """
         if not isinstance(artifact_path, str) or not artifact_path:
             raise ValidationError("reload requires an 'artifact' directory path")
@@ -958,7 +966,7 @@ class EngineDispatcher:
             if self._stopped:
                 raise DispatchError("serving dispatcher is stopped")
             artifact = load_artifact(artifact_path)
-            spec, lease = self._make_spec(artifact)
+            spec, shm = self._make_spec(artifact)
             previous = self.artifact.checksum
             flipped: List[_Worker] = []
             try:
@@ -971,13 +979,13 @@ class EngineDispatcher:
                         self._flip(worker, self._spec)
                     except ReproError:  # pragma: no cover - best effort
                         pass
-                if lease is not None:
-                    lease.release()
+                if shm is not None:
+                    shm.unlink()
                 raise
-            old_lease = self._lease
-            self._spec, self._lease, self.artifact = spec, lease, artifact
-            if old_lease is not None:
-                old_lease.release()
+            old_shm = self._shm
+            self._spec, self._shm, self.artifact = spec, shm, artifact
+            if old_shm is not None:
+                old_shm.unlink()
             self._reloads.inc()
             _DISPATCH_LOG.info(
                 "reloaded %d workers onto artifact %s",
@@ -1148,7 +1156,7 @@ class EngineDispatcher:
     # shutdown
 
     def stop(self) -> None:
-        """Drain and stop every worker; release the arena lease.
+        """Drain and stop every worker; unlink the model segments.
 
         Idempotent.  Stops the probe thread first (``_closing`` aborts
         any in-flight revival quickly), then waits for each worker's
@@ -1183,12 +1191,9 @@ class EngineDispatcher:
                 worker.conn.close()
             except OSError:
                 pass
-        if self._lease is not None:
-            self._lease.release()
-            self._lease = None
-        from repro.utils.shm import arena
-
-        arena().reap()
+        if self._shm is not None:
+            self._shm.unlink()
+            self._shm = None
 
     def __enter__(self) -> "EngineDispatcher":
         return self

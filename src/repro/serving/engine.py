@@ -54,6 +54,27 @@ from repro.telemetry.tracing import get_tracer
 from repro.utils.validation import check_binary_labels
 
 
+class NonFiniteOutputError(ValidationError):
+    """A serving stage turned finite records into non-finite numbers.
+
+    Finite but extreme inputs (say, every feature 1e308) can overflow
+    the scaler, the prototype pass or the scorer.  The request is
+    well-formed JSON the model cannot represent, so it answers 422
+    and names the ``stage`` that overflowed (``scale``, ``model`` or
+    ``scorer``) instead of leaking ``NaN`` into the reply.
+    """
+
+    status = 422
+
+    def __init__(self, stage: str):
+        super().__init__(
+            f"the {stage} stage produced non-finite values from finite "
+            "records: the input lies outside the range the fitted model "
+            "can represent"
+        )
+        self.stage = stage
+
+
 class _PendingBatch:
     """One caller's rows waiting inside the micro-batcher."""
 
@@ -364,12 +385,32 @@ class InferenceEngine:
         their own re-validation scans (``validate=False`` — the
         arithmetic is the batch pipeline's, unchanged).
         """
-        with get_tracer().span("serving.model_pass", n_rows=int(X.shape[0])):
+        with get_tracer().span(
+            "serving.model_pass", n_rows=int(X.shape[0])
+        ), np.errstate(over="ignore", invalid="ignore"):
             if self._scaler is not None:
                 X = self._scaler.transform(X, validate=False)
             return self._model.transform(
                 X, batch_size=self.batch_size, validate=False
             )
+
+    def _check_finite(self, X: np.ndarray, Z: np.ndarray) -> None:
+        """Raise :class:`NonFiniteOutputError` unless ``Z`` is finite.
+
+        Checked per caller on its own rows, so an overflowing record
+        never fails another request coalesced into the same model
+        pass.  The slow path re-runs the scaler alone to tell a
+        ``scale`` overflow from a ``model`` one.
+        """
+        if np.isfinite(Z).all():
+            return
+        stage = "model"
+        if self._scaler is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                scaled = self._scaler.transform(X, validate=False)
+            if not np.isfinite(scaled).all():
+                stage = "scale"
+        raise NonFiniteOutputError(stage)
 
     @staticmethod
     def _keys(X: np.ndarray) -> List[bytes]:
@@ -382,8 +423,11 @@ class InferenceEngine:
         self._records.inc(X.shape[0])
         if self._cache.capacity == 0:  # skip per-row hashing entirely
             if self._micro_batch:
-                return self._batcher.submit(X)
-            return self._represent(X)
+                Z = self._batcher.submit(X)
+            else:
+                Z = self._represent(X)
+            self._check_finite(X, Z)
+            return Z
         keys = self._keys(X)
         Z = np.empty((X.shape[0], self.artifact.n_features))
         miss_rows: List[int] = []
@@ -399,6 +443,7 @@ class InferenceEngine:
                 Z_miss = self._batcher.submit(X_miss)
             else:
                 Z_miss = self._represent(X_miss)
+            self._check_finite(X_miss, Z_miss)
             for j, i in enumerate(miss_rows):
                 Z[i] = Z_miss[j]
                 self._cache.put(keys[i], Z_miss[j].copy())
@@ -413,7 +458,10 @@ class InferenceEngine:
                 "artifact carries no scorer; fit-save with a labelled dataset"
             )
         Z = self._fair_representation(records)
-        return self.artifact.scorer.predict_proba(Z)
+        scores = self.artifact.scorer.predict_proba(Z)
+        if not np.isfinite(scores).all():
+            raise NonFiniteOutputError("scorer")
+        return scores
 
     def transform(self, records) -> np.ndarray:
         """Fair representation of each record (Definition 3)."""

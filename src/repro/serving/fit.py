@@ -89,7 +89,6 @@ def _tune_mixtures(
     tune_jobs: Optional[int],
     tune_strategy: str,
     tune_promote: str,
-    pool: str,
     random_state: int,
 ) -> Dict:
     """Select (lambda_util, mu_fair) on a held-out validation split."""
@@ -119,7 +118,6 @@ def _tune_mixtures(
         strategy=tune_strategy,
         halving=HalvingConfig(promote=tune_promote),
         keep_artifacts=False,
-        pool=pool,
         shared={
             "X": X,
             "y": y,
@@ -151,8 +149,6 @@ def fit_serving_pipeline(
     criterion: str = "parity",
     scorer_l2: float = 1.0,
     n_jobs: Optional[int] = None,
-    backend: str = "process",
-    pool: str = "per-call",
     tune: bool = False,
     tune_criterion: str = "optimal",
     tune_jobs: Optional[int] = None,
@@ -173,15 +169,12 @@ def fit_serving_pipeline(
     see :class:`repro.core.shards.ShardedLandmarkOracle`; they are
     mutually exclusive with ``n_jobs`` restart parallelism.
 
-    ``n_jobs``/``backend`` parallelise the fit's restarts; ``tune``
+    ``n_jobs`` parallelises the fit's restarts; ``tune``
     grid-searches the mixture coefficients first (see module
     docstring), overriding ``lambda_util``/``mu_fair`` with the
-    winner before the final full-data fit.  ``pool="session"`` runs
-    both the search and the final fit on the persistent broker pool:
-    the refit reuses the already-broadcast matrix through the shm
-    arena cache instead of re-publishing it, with the same results as
-    ``"per-call"``.  ``tune_promote="extrapolate"`` switches halving
-    rung promotion to learning-curve extrapolation.
+    winner before the final full-data fit.
+    ``tune_promote="extrapolate"`` switches halving rung promotion to
+    learning-curve extrapolation.
     """
     if dataset.n_records < 10:
         raise ValidationError("serving pipeline needs at least 10 records")
@@ -210,8 +203,6 @@ def fit_serving_pipeline(
         "batch_mode": batch_mode,
         "batch_size": batch_size,
         "n_jobs": n_jobs,
-        "backend": backend,
-        "pool": pool,
         "random_state": random_state,
     }
     tracer = get_tracer()
@@ -231,7 +222,6 @@ def fit_serving_pipeline(
                     tune_jobs=tune_jobs,
                     tune_strategy=tune_strategy,
                     tune_promote=tune_promote,
-                    pool=pool,
                     random_state=random_state,
                 )
             model_params.update(tuned_params)

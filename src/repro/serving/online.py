@@ -430,8 +430,6 @@ class OnlineController:
             n_restarts=self.policy.refit_restarts,
             max_iter=self.policy.refit_max_iter,
             n_jobs=None,
-            backend="process",
-            pool="per-call",
             warm_start_theta=None,
             oracle_jobs=None,
             oracle_shards=None,

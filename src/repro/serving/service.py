@@ -98,6 +98,23 @@ def error_payload(
     return status, body
 
 
+def reply_bytes(status: int, body: Dict) -> Tuple[int, bytes]:
+    """Strict JSON (RFC 8259) bytes of one reply, for both tiers.
+
+    Encodes with ``allow_nan=False``, so a bare ``NaN``/``Infinity``
+    can never reach the wire.  The engine answers non-finite stage
+    outputs with a typed 422 before this point; a body that still
+    fails to encode is a server defect and answers 500 with a valid
+    error body rather than invalid JSON.
+    """
+    try:
+        return status, json.dumps(body, allow_nan=False).encode("utf-8")
+    except ValueError as exc:
+        return 500, json.dumps(
+            {"error": f"reply is not representable as JSON: {exc}"}
+        ).encode("utf-8")
+
+
 def _require_records(payload: Dict):
     if not isinstance(payload, dict):
         raise RequestError("request body must be a JSON object")
@@ -224,7 +241,10 @@ class _Handler(BaseHTTPRequestHandler):
         content_type: str = "application/json",
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        data = raw if raw is not None else json.dumps(body).encode("utf-8")
+        if raw is None:
+            status, data = reply_bytes(status, body)
+        else:
+            data = raw
         try:
             self.send_response(status)
             self.send_header("Content-Type", content_type)
@@ -502,7 +522,7 @@ def serve_artifact(
     ``workers=1`` (the default) serves a single in-process engine —
     simplest to debug, no child processes.  ``workers >= 2`` builds an
     :class:`~repro.serving.dispatcher.EngineDispatcher`: N forked
-    engine workers sharing the model read-only through the shm arena,
+    engine workers mapping one shared-memory copy of the model,
     with ``POST /v1/admin/reload`` blue/green swaps enabled.
 
     ``deadline_s`` / ``max_inflight`` / ``shed_queue_s`` /

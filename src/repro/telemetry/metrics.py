@@ -4,8 +4,8 @@ One :class:`MetricsRegistry` is a namespace of named instruments.  Two
 registries matter in practice:
 
 * the **process-wide** registry (:func:`get_registry`) carries the
-  library-level series — fit restarts, oracle builds and memo hits,
-  executor tasks, shared-memory arena traffic;
+  library-level series — fit restarts, oracle builds, executor tasks,
+  shared-memory broadcast traffic;
 * each :class:`~repro.serving.engine.InferenceEngine` owns a private
   registry for its serving series, so two engines in one process never
   mix their counters.

@@ -1,12 +1,11 @@
-"""Fault-injection and warm-pool stress tests for the sharded oracle.
+"""Fault-injection stress tests for the sharded oracle.
 
 The headline claim of ISSUE 8's harness: killing a shard worker
 mid-reduction is *invisible* — the executor respawns the worker,
 retries the shard, and the refitted theta is bitwise identical to an
-undisturbed fit, with no shared-memory segments leaked.  The warm-pool
-tests cover the companion staleness hazard: a session pool serving two
-consecutive oracles with different shard plans over the same broadcast
-must never hand one plan the other's memoised ``D*`` rows.
+undisturbed fit, with no shared-memory segments leaked.  A companion
+test runs consecutive oracles with different shard plans over the same
+matrix and pins each to the single-process objective.
 
 The M = 1,000,000 acceptance fit rides at the bottom behind the
 ``nightly`` marker (see ``tests/conftest.py``).
@@ -15,7 +14,6 @@ The M = 1,000,000 acceptance fit rides at the bottom behind the
 import numpy as np
 import pytest
 
-from repro.core.executor import shutdown_session_pools
 from repro.core.model import IFair
 from repro.core.objective import IFairObjective
 from repro.core.shards import FAULT_ENV, ShardedLandmarkOracle
@@ -70,7 +68,6 @@ class TestFaultInjection:
         np.testing.assert_array_equal(clean.theta_, faulted.theta_)
         assert clean.loss_ == faulted.loss_
 
-        shutdown_session_pools()
         assert leaked_segments() == []
 
     def test_fault_hook_is_inert_in_the_parent(self, tmp_path, monkeypatch):
@@ -84,14 +81,12 @@ class TestFaultInjection:
         assert token.exists()  # never consumed: no worker ever saw it
 
 
-class TestWarmPoolMemo:
-    def test_consecutive_plans_on_one_session_pool_stay_exact(self):
-        """Different shard plans over one warm broadcast: no stale D*.
+class TestShardPlans:
+    def test_consecutive_plans_stay_exact(self):
+        """Different shard plans over one matrix: each is exact.
 
-        Both oracles reuse the session workers (and the arena-cached
-        broadcast, hence the memoised shard support); the second plan's
-        row ranges overlap the first's without being equal — exactly
-        the aliasing the range-keyed ``D*`` cache exists to prevent.
+        The plans' row ranges overlap without being equal; every
+        oracle must still match the single-process objective.
         """
         X = _binary_last_column(200, 6, seed=12)
         objective = IFairObjective(
@@ -106,48 +101,18 @@ class TestWarmPoolMemo:
             0.1, 0.9, size=objective.n_params
         )
         loss_ref, grad_ref = objective.loss_and_grad(theta)
-        try:
-            results = []
-            for n_shards in (4, 3, 5):
-                with ShardedLandmarkOracle(
-                    objective, n_shards=n_shards, n_jobs=2, pool="session"
-                ) as oracle:
-                    results.append(oracle.loss_and_grad(theta))
-        finally:
-            shutdown_session_pools()
+        results = []
+        for n_shards in (4, 3, 5):
+            with ShardedLandmarkOracle(
+                objective, n_shards=n_shards, n_jobs=2
+            ) as oracle:
+                results.append(oracle.loss_and_grad(theta))
         for loss, grad in results:
             assert loss == pytest.approx(loss_ref, rel=1e-10)
             np.testing.assert_allclose(
                 grad, grad_ref, rtol=1e-10,
                 atol=1e-10 * np.abs(grad_ref).max(),
             )
-        assert leaked_segments() == []
-
-    def test_consecutive_fits_on_one_session_pool_match_cold_fits(self):
-        """Back-to-back sharded fits on warm workers stay bitwise."""
-        X = _binary_last_column(120, 6, seed=20)
-
-        def fit(pool):
-            return IFair(
-                n_prototypes=3,
-                pair_mode="landmark",
-                n_landmarks=12,
-                oracle_shards=4,
-                oracle_jobs=2,
-                pool=pool,
-                n_restarts=1,
-                max_iter=5,
-                random_state=0,
-            ).fit(X, [5])
-
-        try:
-            warm_first = fit("session")
-            warm_second = fit("session")  # memo-hit path
-        finally:
-            shutdown_session_pools()
-        cold = fit("per-call")
-        np.testing.assert_array_equal(cold.theta_, warm_first.theta_)
-        np.testing.assert_array_equal(cold.theta_, warm_second.theta_)
         assert leaked_segments() == []
 
 
@@ -170,5 +135,4 @@ class TestMillionRowAcceptance:
             random_state=0,
         ).fit(X, [n - 1])
         assert np.isfinite(model.loss_)
-        shutdown_session_pools()
         assert leaked_segments() == []

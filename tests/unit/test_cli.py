@@ -255,20 +255,21 @@ class TestPairModeFlags:
 
 
 class TestPoolFlags:
+    """Tuning flags of the worker pools; ``n_jobs``-style knobs only."""
+
     def test_defaults(self):
         args = build_parser().parse_args(["run", "table2"])
-        assert args.pool == "per-call"
         assert args.tune_promote == "rank"
 
-    def test_run_session_pool_reaches_the_config(self):
+    def test_run_tuning_flags_reach_the_config(self):
         from repro.cli import _config
 
         args = build_parser().parse_args(
             [
                 "run",
                 "table2",
-                "--pool",
-                "session",
+                "--tune-jobs",
+                "2",
                 "--tune-strategy",
                 "halving",
                 "--tune-promote",
@@ -276,7 +277,7 @@ class TestPoolFlags:
             ]
         )
         config = _config(args)
-        assert config.tune_pool == "session"
+        assert config.tune_jobs == 2
         assert config.tune_strategy == "halving"
         assert config.tune_promote == "extrapolate"
 
@@ -284,12 +285,15 @@ class TestPoolFlags:
         from repro.cli import _config
 
         config = _config(build_parser().parse_args(["run", "table2"]))
-        assert config.tune_pool == "per-call"
         assert config.tune_promote == "rank"
 
     def test_invalid_pool_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "table2", "--pool", "hourly"])
+        # No pool-lifetime flag exists: n_jobs-style knobs are the only
+        # parallelism settings.
+        for verb in (["run", "table2"], ["fit-save", "compas", "--out", "x"]):
+            for value in ("hourly", "session"):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args([*verb, "--pool", value])
 
     def test_fit_save_accepts_pool_flags(self):
         args = build_parser().parse_args(
@@ -298,14 +302,16 @@ class TestPoolFlags:
                 "compas",
                 "--out",
                 "x",
-                "--pool",
-                "session",
+                "--fit-jobs",
+                "2",
                 "--tune",
+                "--tune-jobs",
+                "2",
                 "--tune-strategy",
                 "halving",
                 "--tune-promote",
                 "extrapolate",
             ]
         )
-        assert args.pool == "session"
+        assert args.fit_jobs == 2 and args.tune_jobs == 2
         assert args.tune_promote == "extrapolate"

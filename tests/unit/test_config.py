@@ -94,16 +94,13 @@ class TestPairModeConfig:
 class TestPoolAndPromoteConfig:
     def test_defaults(self):
         config = ExperimentConfig.fast()
-        assert config.tune_pool == "per-call"
         assert config.tune_promote == "rank"
+        assert not hasattr(config, "tune_pool")  # n_jobs knobs only
 
-    def test_session_pool_and_extrapolate_accepted(self):
-        config = ExperimentConfig(tune_pool="session", tune_promote="extrapolate")
-        assert config.tune_pool == "session"
+    def test_extrapolate_accepted(self):
+        config = ExperimentConfig(tune_promote="extrapolate")
         assert config.tune_promote == "extrapolate"
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ValidationError):
-            ExperimentConfig(tune_pool="hourly")
         with pytest.raises(ValidationError):
             ExperimentConfig(tune_promote="psychic")

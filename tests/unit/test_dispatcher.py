@@ -329,3 +329,85 @@ class TestCleanup:
         dispatcher.score(records)
         dispatcher.stop()
         assert set(leaked_segments()) <= before
+
+
+class TestModelGenerations:
+    """The dispatcher owns one shared-memory generation per artifact."""
+
+    @pytest.fixture
+    def other_dir(self, tiny_compas, tmp_path):
+        other = fit_serving_pipeline(
+            tiny_compas, n_prototypes=3, max_iter=20, max_pairs=400,
+            random_state=11,
+        )
+        return save_artifact(str(tmp_path / "other"), other)
+
+    def test_reloads_then_stop_leave_no_segments(
+        self, artifact_dir, other_dir, records
+    ):
+        before = set(leaked_segments())  # other tests' live dispatchers
+        dispatcher = EngineDispatcher(load_artifact(artifact_dir), n_workers=2)
+        try:
+            first = set(leaked_segments()) - before
+            assert first
+            dispatcher.reload(other_dir)
+            second = set(leaked_segments()) - before
+            # The old generation is unlinked once every worker flipped.
+            assert second and second.isdisjoint(first)
+            dispatcher.reload(artifact_dir)
+            third = set(leaked_segments()) - before
+            assert len(third) == len(first) and third.isdisjoint(second)
+            dispatcher.score(records)
+        finally:
+            dispatcher.stop()
+        assert set(leaked_segments()) <= before
+
+    def test_worker_killed_after_reload_respawns_on_new_generation(
+        self, artifact_dir, other_dir, records
+    ):
+        from repro.serving.service import (
+            RequestError,
+            dispatch,
+            error_payload,
+            reply_bytes,
+        )
+
+        dispatcher = EngineDispatcher(
+            load_artifact(artifact_dir), n_workers=2, cache_size=0
+        )
+        reference = InferenceEngine(load_artifact(other_dir), cache_size=0)
+        try:
+            dispatcher.reload(other_dir)
+            victim = dispatcher._workers[0].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
+            # The first request to hit the dead slot reroutes to the
+            # live peer; the probe then respawns the slot.
+            for _ in range(4):
+                dispatcher.score(records)
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                slot = dispatcher._workers[0]
+                if slot.alive and slot.process.pid != victim.pid:
+                    break
+                time.sleep(0.05)
+            assert dispatcher._workers[0].process.pid != victim.pid
+            assert dispatcher.health()["workers_alive"] == 2
+            # The replacement attached the post-reload generation (the
+            # pre-reload one is already unlinked), and every worker
+            # answers byte-identically to in-process dispatch.
+            payload = {"records": records.tolist()}
+            for path in ("/v1/transform", "/v1/score", "/v1/rank"):
+                try:
+                    expected = reply_bytes(
+                        200, dispatch(reference, "POST", path, payload)
+                    )
+                except RequestError as exc:  # pragma: no cover - defensive
+                    expected = reply_bytes(*error_payload(exc))
+                raw = json.dumps(payload).encode("utf-8")
+                for worker in list(dispatcher._workers):
+                    outcome = dispatcher._attempt(worker, path, raw, None)
+                    assert outcome[0] == "ok"
+                    assert (outcome[1], outcome[2]) == expected, (path, worker.index)
+        finally:
+            dispatcher.stop()

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from repro.core.executor import (
-    EXECUTOR_BACKENDS,
     ParallelExecutor,
     TaskError,
     WorkerCrashError,
+    WorkerPool,
     effective_n_jobs,
     get_shared,
     get_state,
@@ -56,36 +56,35 @@ class TestEffectiveNJobs:
             effective_n_jobs(bad)
 
 
+#: The two execution paths: in-process (one job) and a forked pool.
+PATHS = pytest.mark.parametrize("n_jobs", [2, 1], ids=["process", "serial"])
+
+
 class TestBackends:
-    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
-    def test_map_preserves_order(self, backend):
-        out = run_tasks(_double, list(range(7)), n_jobs=2, backend=backend)
+    @PATHS
+    def test_map_preserves_order(self, n_jobs):
+        out = run_tasks(_double, list(range(7)), n_jobs=n_jobs)
         assert out == [0, 2, 4, 6, 8, 10, 12]
 
-    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
-    def test_state_and_shared_reach_tasks(self, backend):
+    @PATHS
+    def test_state_and_shared_reach_tasks(self, n_jobs):
         X = np.arange(12, dtype=np.float64).reshape(3, 4)
         out = run_tasks(
             _shared_row_sum,
             [0, 1, 2],
-            n_jobs=2,
-            backend=backend,
+            n_jobs=n_jobs,
             state={"scale": 2.0},
             shared={"X": X},
         )
         assert out == [12.0, 44.0, 76.0]
 
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValidationError):
-            ParallelExecutor(_double, 2, backend="greenlet")
-
     def test_empty_payloads(self):
         assert run_tasks(_double, [], n_jobs=2) == []
 
     def test_n_jobs_one_runs_inline(self):
-        executor = ParallelExecutor(_double, 1, backend="process")
-        assert executor.backend == "serial"
+        executor = ParallelExecutor(_double, 1)
         assert executor.map([1, 2]) == [2, 4]
+        assert executor._pool is None  # no worker was ever forked
 
     def test_closures_work_under_fork(self):
         captured = np.array([10.0, 20.0])
@@ -99,11 +98,6 @@ class TestWorkerFlags:
 
     def test_process_tasks_see_worker_flag(self):
         assert run_tasks(lambda _: in_worker(), [0], n_jobs=2) == [True]
-
-    def test_thread_tasks_see_worker_flag(self):
-        assert run_tasks(lambda _: in_worker(), [0], n_jobs=2, backend="thread") == [
-            True
-        ]
 
     def test_serial_map_leaves_flag_down(self):
         # A serial search over parallel fits is legitimate; only real
@@ -182,6 +176,74 @@ class TestSharedMemoryLifecycle:
         with pytest.raises(WorkerCrashError):
             run_tasks(_crash, [0], n_jobs=2, max_retries=0, shared={"X": X})
         assert leaked_segments() == []
+
+
+def _pid(payload):
+    return os.getpid()
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except OSError:
+        return False
+    return True
+
+
+class TestPoolLifecycle:
+    """One pool per executor: forked at start, gone at shutdown."""
+
+    def test_each_executor_forks_fresh_workers(self):
+        first = set(run_tasks(_pid, range(4), n_jobs=2))
+        second = set(run_tasks(_pid, range(4), n_jobs=2))
+        assert len(first) == 2 and os.getpid() not in first
+        assert first.isdisjoint(second)
+
+    def test_shutdown_stops_workers_and_unlinks_segments(self):
+        executor = ParallelExecutor(
+            _shared_row_sum, 2, state={"scale": 1.0}, shared={"X": np.ones((2, 2))}
+        )
+        with executor:
+            pids = executor._pool.worker_pids()
+            assert len(leaked_segments()) == 1
+            assert executor.map([0, 1]) == [2.0, 2.0]
+        assert leaked_segments() == []
+        assert not any(_alive(pid) for pid in pids)
+
+    def test_respawned_worker_serves_the_same_context(self, tmp_path):
+        marker = str(tmp_path / "crashed")
+
+        def crash_once_then_read(i):
+            if i == 0 and not os.path.exists(marker):
+                open(marker, "w").close()
+                os._exit(19)
+            return _shared_row_sum(i)
+
+        X = np.arange(8, dtype=np.float64).reshape(2, 4)
+        out = run_tasks(
+            crash_once_then_read,
+            [0, 1],
+            n_jobs=2,
+            state={"scale": 3.0},
+            shared={"X": X},
+        )
+        assert out == [18.0, 66.0]
+        assert leaked_segments() == []
+
+    def test_failed_start_leaves_nothing_behind(self):
+        executor = ParallelExecutor(_double, 2, shared={"X": np.empty((0, 3))})
+        with pytest.raises(ValidationError, match="must not be empty"):
+            executor.start()
+        assert executor._pool is None
+        assert leaked_segments() == []
+        executor._shared_input = {"X": np.ones((2, 3))}
+        assert executor.map([1, 2]) == [2, 4]  # restartable after fix-up
+        executor.shutdown()
+        assert leaked_segments() == []
+
+    def test_worker_pool_needs_a_worker(self):
+        with pytest.raises(ValidationError):
+            WorkerPool(0, _double)
 
 
 @pytest.mark.nightly

@@ -223,10 +223,6 @@ class TestWarmStart:
         np.testing.assert_array_equal(process.theta_, reference.theta_)
         assert serial.loss_ <= cold.loss_ + 1e-9
 
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValidationError):
-            IFair(backend="greenlet")
-
     def test_get_params_rebuilds_equivalent_estimator(self, data):
         model = _fit(data, n_restarts=2)
         clone = IFair(**model.get_params()).fit(data, [4])

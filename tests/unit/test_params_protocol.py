@@ -38,8 +38,6 @@ IFAIR_PARAM_KEYS = [
     "n_landmarks",
     "landmark_method",
     "n_jobs",
-    "backend",
-    "pool",
     "warm_start_theta",
     "oracle_jobs",
     "oracle_shards",

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.serving.engine import InferenceEngine, LRUCache, MicroBatcher
+from repro.serving.engine import (
+    InferenceEngine,
+    LRUCache,
+    MicroBatcher,
+    NonFiniteOutputError,
+)
 from repro.serving.fit import fit_serving_pipeline
 
 
@@ -214,6 +219,70 @@ class TestEngineVerbs:
         bad = [[float("nan")] * artifact.n_features]
         with pytest.raises(ValidationError, match="NaN"):
             engine.transform(bad)
+
+
+class TestNonFiniteStages:
+    """Finite records that overflow a stage answer a typed 422."""
+
+    @pytest.fixture
+    def huge(self, artifact):
+        return [[1e308] * artifact.n_features]
+
+    def test_scale_overflow_names_the_scale_stage(self, artifact, huge):
+        engine = InferenceEngine(artifact, cache_size=8)
+        for verb in (engine.transform, engine.score):
+            with pytest.raises(NonFiniteOutputError) as excinfo:
+                verb(huge)
+            assert excinfo.value.stage == "scale"
+            assert excinfo.value.status == 422
+        assert len(engine._cache) == 0  # nothing non-finite was cached
+
+    def test_model_overflow_names_the_model_stage(self, artifact, huge):
+        engine = InferenceEngine(artifact, cache_size=0)
+        engine._scaler = None  # raw extreme rows reach the prototype pass
+        with pytest.raises(NonFiniteOutputError) as excinfo:
+            engine.transform(huge)
+        assert excinfo.value.stage == "model"
+
+    def test_scorer_overflow_names_the_scorer_stage(self, artifact, engine):
+        scorer = artifact.scorer
+        saved = scorer.coef_
+        scorer.coef_ = np.full_like(saved, np.nan)
+        try:
+            with pytest.raises(NonFiniteOutputError) as excinfo:
+                engine.score([[0.0] * artifact.n_features])
+        finally:
+            scorer.coef_ = saved
+        assert excinfo.value.stage == "scorer"
+
+    def test_overflow_does_not_fail_coalesced_neighbours(self, artifact, huge):
+        # The check runs per caller on its own rows: one overflowing
+        # request cannot poison a finite one sharing the model pass.
+        engine = InferenceEngine(artifact, cache_size=0, max_batch_delay=0.2)
+        fine = [[0.0] * artifact.n_features]
+        outcomes = {}
+        barrier = threading.Barrier(2)
+
+        def call(name, records):
+            barrier.wait()
+            try:
+                outcomes[name] = engine.transform(records)
+            except NonFiniteOutputError as exc:
+                outcomes[name] = exc
+
+        threads = [
+            threading.Thread(target=call, args=("fine", fine)),
+            threading.Thread(target=call, args=("huge", huge)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert engine.stats()["coalesced_requests"] == 1
+        assert isinstance(outcomes["huge"], NonFiniteOutputError)
+        np.testing.assert_array_equal(
+            outcomes["fine"], InferenceEngine(artifact).transform(fine)
+        )
 
 
 class TestEngineCache:

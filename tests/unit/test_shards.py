@@ -3,18 +3,18 @@
 Covers the pieces the property/stress suites rely on: shard planning,
 plan validation, the fixed-order compensated tree reduction, the
 oracle's constructor contracts, the new :class:`IFair` knobs, and the
-row-range dimension of the worker oracle memo key (the staleness
-regression of ISSUE 8).
+per-worker fit slots (which must never serve another fit's tasks).
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.core import executor as executor_module
 from repro.core import model as model_module
-from repro.core.model import IFair, _oracle_cache_key
+from repro.core import shards as shards_module
+from repro.core.model import IFair
 from repro.core.objective import IFairObjective
 from repro.core.shards import (
     ShardedLandmarkOracle,
@@ -160,8 +160,6 @@ class TestOracleValidation:
         with pytest.raises(ValidationError):
             ShardedLandmarkOracle(obj, batch_mode="minibatch")
         with pytest.raises(ValidationError):
-            ShardedLandmarkOracle(obj, pool="forever")
-        with pytest.raises(ValidationError):
             ShardedLandmarkOracle(obj, n_shards=0)
 
     def test_plan_hook_is_validated(self):
@@ -226,41 +224,40 @@ class TestModelKnobs:
         assert params["batch_size"] == 16
 
 
-class TestOracleCacheKeyRowRange:
-    """Regression: the worker oracle memo must key on the row range.
+class TestWorkerSlots:
+    """Worker-side fit slots rebuild for a new ``state`` object.
 
-    Before ISSUE 8 the key was (segment, protected, params) only —
-    a row-sharded oracle over ``[0, 500)`` could be served a memoised
-    full-matrix oracle (or vice versa) on a warm session pool.
+    A forked worker inherits the parent's module globals, so a slot
+    left over from an earlier in-process run must never answer another
+    fit's tasks: slots are matched by ``state`` identity.
     """
 
-    def _patch_handle(self, monkeypatch, name="seg-a", shape=(1000, 6)):
-        handle = SimpleNamespace(name=name, shape=shape)
-        monkeypatch.setattr(
-            model_module, "get_shared_handles", lambda: {"X": handle}
-        )
+    def _run_with(self, monkeypatch, fn, payload, state, X):
+        monkeypatch.setattr(executor_module, "_WORKER_STATE", state)
+        monkeypatch.setattr(executor_module, "_WORKER_SHARED", {"X": X})
+        return fn(payload)
 
-    def _state(self):
-        return {
-            "params": IFair(pair_mode="landmark").get_params(),
-            "protected": [5],
-        }
+    def test_restart_slot_follows_the_state(self, monkeypatch):
+        monkeypatch.setattr(model_module, "_WORKER_FIT", None)
+        rng = np.random.default_rng(0)
+        X_a, X_b = rng.normal(size=(20, 4)), rng.normal(size=(30, 4))
+        params = IFair(n_prototypes=2, max_iter=3).get_params()
+        for X in (X_a, X_b):
+            state = {"params": params, "protected": [3]}
+            self._run_with(monkeypatch, model_module._restart_task, (0, 1), state, X)
+            _, _, objective, _ = model_module._WORKER_FIT
+            assert objective.X.shape == X.shape
+        same = model_module._WORKER_FIT
+        self._run_with(monkeypatch, model_module._restart_task, (1, 2), state, X_b)
+        assert model_module._WORKER_FIT is same  # one build per fit
 
-    def test_distinct_ranges_get_distinct_keys(self, monkeypatch):
-        self._patch_handle(monkeypatch)
-        state = self._state()
-        full = _oracle_cache_key(state)
-        half = _oracle_cache_key(state, row_range=(0, 500))
-        tail = _oracle_cache_key(state, row_range=(500, 1000))
-        assert len({full, half, tail}) == 3
-
-    def test_default_range_is_the_full_segment(self, monkeypatch):
-        self._patch_handle(monkeypatch)
-        state = self._state()
-        assert _oracle_cache_key(state) == _oracle_cache_key(
-            state, row_range=(0, 1000)
-        )
-
-    def test_no_broadcast_disables_caching(self, monkeypatch):
-        monkeypatch.setattr(model_module, "get_shared_handles", lambda: {})
-        assert _oracle_cache_key(self._state()) is None
+    def test_shard_slot_follows_the_state(self, monkeypatch):
+        monkeypatch.setattr(shards_module, "_WORKER_SUPPORT", None)
+        X = np.random.default_rng(1).normal(size=(12, 4))
+        first = {"nonprotected": [0, 1, 2], "anchors": [0, 5], "use_fast": True}
+        second = dict(first, anchors=[1, 2, 3])
+        monkeypatch.setattr(executor_module, "_WORKER_SHARED", {"X": X})
+        a = shards_module._worker_support(first)
+        assert shards_module._worker_support(first) is a
+        b = shards_module._worker_support(second)
+        assert b is not a and b.anchor_idx.tolist() == [1, 2, 3]

@@ -1,6 +1,8 @@
 """Tests for repro.utils.shm."""
 
+import os
 import pickle
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -97,4 +99,22 @@ class TestSharedArrays:
                 np.testing.assert_array_equal(attached.arrays["X"], arrays["X"])
             # worker detached; the parent's copy is untouched
             np.testing.assert_array_equal(shm.arrays["X"], arrays["X"])
+        assert leaked_segments() == []
+
+
+class TestLeakedSegments:
+    def test_only_this_process_segments_are_listed(self):
+        # A segment named for another creator pid (a benchmark running
+        # alongside) must never read as this process's leak.
+        foreign = shared_memory.SharedMemory(
+            create=True, size=8, name=f"{SEGMENT_PREFIX}{os.getpid() + 1}_0"
+        )
+        try:
+            assert foreign.name.lstrip("/") not in leaked_segments()
+            with SharedArrays({"X": np.ones(3)}) as shm:
+                own = shm.handles["X"].name
+                assert leaked_segments() == [own]
+        finally:
+            foreign.close()
+            foreign.unlink()
         assert leaked_segments() == []
